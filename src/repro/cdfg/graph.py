@@ -63,6 +63,105 @@ class EdgeKind(str, Enum):
         return f"EdgeKind.{self.name}"
 
 
+#: Edge kinds a watermark locality follows: the original specification,
+#: never previously added temporal (watermark) constraints.
+_LOCALITY_KINDS = frozenset((EdgeKind.DATA, EdgeKind.CONTROL))
+
+
+class LocalityIndex:
+    """Integer adjacency of a design's locality skeleton.
+
+    Watermark localities — fanin cones, the canonical C1–C3 ordering,
+    the structural (WL) hashes — follow only distance-0 data/control
+    edges.  This index holds exactly that adjacency once per design
+    skeleton, so those walks run over integer lists instead of
+    filtering networkx edge attributes node by node.
+
+    Node ``i`` is the ``i``-th operation in insertion order; ``preds``
+    and ``succs`` list neighbors in networkx iteration order.  The index
+    is immutable: :meth:`CDFG.locality_index` builds a new one when the
+    skeleton changes.
+    """
+
+    __slots__ = ("nodes", "index", "ops", "preds", "succs", "schedulable")
+
+    def __init__(self, g: nx.DiGraph) -> None:
+        self.nodes: List[str] = list(g.nodes)
+        self.index: Dict[str, int] = {n: i for i, n in enumerate(self.nodes)}
+        index = self.index
+        data = g.nodes
+        self.ops: List[OpType] = [data[n]["op"] for n in self.nodes]
+        self.schedulable: List[bool] = [op.is_schedulable for op in self.ops]
+
+        def skeleton(adjacency) -> List[List[int]]:
+            return [
+                [
+                    index[m]
+                    for m, attrs in adjacency[n].items()
+                    if attrs["kind"] in _LOCALITY_KINDS
+                    and not attrs.get("distance", 0)
+                ]
+                for n in self.nodes
+            ]
+
+        # The raw adjacency dicts: the read-only views cost an ABC
+        # iterator per node, most of the build on the 6k-node LEC.
+        self.preds: List[List[int]] = skeleton(g._pred)
+        self.succs: List[List[int]] = skeleton(g._succ)
+
+    def ids(self, names: Iterable[str]) -> Set[int]:
+        """Node ids of *names*; unknown names raise."""
+        index = self.index
+        try:
+            return {index[n] for n in names}
+        except KeyError as exc:
+            raise UnknownNodeError(f"unknown operation: {exc.args[0]!r}") from None
+
+    def fanin(
+        self,
+        root: int,
+        max_distance: Optional[int] = None,
+        within: Optional[Set[int]] = None,
+    ) -> Iterator[int]:
+        """*root*, then its fanin breadth-first within *max_distance*
+        hops (``None``: all), optionally clipped to the id set *within*.
+
+        A generator, so a caller that has seen enough stops the walk.
+        """
+        preds = self.preds
+        yield root
+        seen = {root}
+        frontier = [root]
+        hops = 0
+        while frontier and (max_distance is None or hops < max_distance):
+            nxt: List[int] = []
+            for node in frontier:
+                for pred in preds[node]:
+                    if pred not in seen and (within is None or pred in within):
+                        seen.add(pred)
+                        nxt.append(pred)
+                        yield pred
+            frontier = nxt
+            hops += 1
+
+    def cone(self, root: int, tau: int) -> Set[int]:
+        """Schedulable fanin of *root* within *tau* hops (the ``T_o``)."""
+        schedulable = self.schedulable
+        return {i for i in self.fanin(root, tau) if schedulable[i]}
+
+    def cone_reaches(self, root: int, tau: int, size: int) -> bool:
+        """Whether :meth:`cone` has at least *size* nodes; stops as soon
+        as it has found them."""
+        schedulable = self.schedulable
+        count = 0
+        for node in self.fanin(root, tau):
+            if schedulable[node]:
+                count += 1
+                if count >= size:
+                    return True
+        return False
+
+
 class CDFG:
     """A control-data flow graph.
 
@@ -92,14 +191,33 @@ class CDFG:
         self._view: Optional["CDFGView"] = None
         #: Lazy (version, back-edge tuple) memo; dropped on pickle.
         self._periodic_cache: Optional[Tuple[int, Tuple[Tuple[str, str, int], ...]]] = None
+        #: Skeleton counter: bumped only by mutations a locality can see
+        #: (nodes, op types, data/control edges) — temporal edges leave
+        #: it alone, so watermark insertion keeps the locality index.
+        self._skeleton = 0
+        #: Lazy (skeleton counter, LocalityIndex) memo; dropped on pickle.
+        self._locality: Optional[Tuple[int, LocalityIndex]] = None
 
     @property
     def mutation_count(self) -> int:
         """Monotonic mutation counter (cache-invalidation token)."""
         return self._version
 
-    def _bump(self) -> None:
+    def _bump(self, skeleton: bool = True) -> None:
         self._version += 1
+        if skeleton:
+            self._skeleton += 1
+
+    def locality_index(self) -> LocalityIndex:
+        """The :class:`LocalityIndex` of the current skeleton.
+
+        Built lazily and rebuilt only when the skeleton counter has
+        moved; copies and :meth:`without_temporal_edges` share it.
+        """
+        cache = self._locality
+        if cache is None or cache[0] != self._skeleton:
+            cache = self._locality = (self._skeleton, LocalityIndex(self._g))
+        return cache[1]
 
     def view(self) -> "CDFGView":
         """The cached :class:`~repro.timing.kernel.CDFGView`.
@@ -129,15 +247,18 @@ class CDFG:
         # The RTL emitter caches its identifier table on the instance;
         # it is derived and cheap to rebuild, so drop it too.
         state.pop("_rtl_names", None)
-        # Same deal for the periodic back-edge memo.
+        # Same deal for the periodic back-edge and locality memos.
         state["_periodic_cache"] = None
+        state["_locality"] = None
         return state
 
     def __setstate__(self, state) -> None:
-        # Designs pickled before the periodic subsystem lack the cache
-        # slot; restore with an empty memo either way.
+        # Designs pickled before the periodic subsystem or the locality
+        # index lack their slots; restore with empty memos either way.
         self.__dict__.update(state)
         self._periodic_cache = None
+        self._locality = None
+        self.__dict__.setdefault("_skeleton", 0)
 
     # ------------------------------------------------------------------
     # construction
@@ -205,7 +326,7 @@ class CDFG:
         if distance == 0 and self._creates_cycle(src, dst):
             self._g.remove_edge(src, dst)
             raise CycleError(f"edge {src!r}->{dst!r} would create a cycle")
-        self._bump()
+        self._bump(skeleton=kind is not EdgeKind.TEMPORAL)
 
     def add_data_edge(self, src: str, dst: str, distance: int = 0) -> None:
         """Add a value-flow edge (``distance >= 1`` for loop feedback)."""
@@ -228,8 +349,9 @@ class CDFG:
         """Remove the edge src->dst (any kind)."""
         if not self._g.has_edge(src, dst):
             raise CDFGError(f"no edge {src!r}->{dst!r}")
+        kind = self._g.edges[src, dst]["kind"]
         self._g.remove_edge(src, dst)
-        self._bump()
+        self._bump(skeleton=kind is not EdgeKind.TEMPORAL)
 
     def remove_operation(self, name: str) -> None:
         """Remove an operation node and every edge touching it."""
@@ -249,7 +371,7 @@ class CDFG:
         if latency < 0:
             raise CDFGError(f"negative latency for {name!r}")
         self._g.nodes[name]["latency"] = latency
-        self._bump()
+        self._bump(skeleton=False)
 
     def _creates_cycle(self, src: str, dst: str) -> bool:
         # A new distance-0 edge src->dst closes a combinational cycle
@@ -330,7 +452,7 @@ class CDFG:
         """Mark/unmark a node's output variable as pseudo-primary output."""
         self._require(name)
         self._g.nodes[name]["ppo"] = bool(value)
-        self._bump()
+        self._bump(skeleton=False)
 
     @property
     def ppo_nodes(self) -> List[str]:
@@ -517,42 +639,27 @@ class CDFG:
         self._require(root)
         if max_distance < 0:
             raise CDFGError("max_distance must be non-negative")
-        frontier = {root}
-        seen = {root}
-        for _ in range(max_distance):
-            nxt: Set[str] = set()
-            for node in frontier:
-                for pred in self.predecessors(
-                    node,
-                    kinds=(EdgeKind.DATA, EdgeKind.CONTROL),
-                    skeleton=True,
-                ):
-                    if pred not in seen:
-                        seen.add(pred)
-                        nxt.add(pred)
-            if not nxt:
-                break
-            frontier = nxt
-        return seen
+        index = self.locality_index()
+        nodes = index.nodes
+        return {nodes[i] for i in index.fanin(index.index[root], max_distance)}
 
     def fanin_distance(self, root: str) -> Dict[str, int]:
         """Shortest reverse-edge distance from *root* to each fanin node."""
         self._require(root)
-        distances = {root: 0}
-        frontier = [root]
+        index = self.locality_index()
+        nodes, preds = index.nodes, index.preds
+        start = index.index[root]
+        distances = {start: 0}
+        frontier = [start]
         while frontier:
-            nxt: List[str] = []
+            nxt: List[int] = []
             for node in frontier:
-                for pred in self.predecessors(
-                    node,
-                    kinds=(EdgeKind.DATA, EdgeKind.CONTROL),
-                    skeleton=True,
-                ):
+                for pred in preds[node]:
                     if pred not in distances:
                         distances[pred] = distances[node] + 1
                         nxt.append(pred)
             frontier = nxt
-        return distances
+        return {nodes[i]: d for i, d in distances.items()}
 
     # ------------------------------------------------------------------
     # transformation
@@ -561,6 +668,8 @@ class CDFG:
         """Deep copy; optionally renamed."""
         clone = CDFG(name or self.name)
         clone._g = self._g.copy()
+        clone._skeleton = self._skeleton
+        clone._locality = self._locality
         return clone
 
     def without_temporal_edges(self) -> "CDFG":
@@ -623,6 +732,7 @@ class CDFG:
             if node in clone:
                 raise CDFGError(f"name collision while merging: {node!r}")
         clone._g = nx.compose(clone._g, renamed._g)
+        clone._bump()
         for src, dst in connections:
             clone.add_data_edge(src, dst)
         return clone

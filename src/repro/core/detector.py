@@ -191,12 +191,14 @@ def _map_record_to_cone(
     """
     from repro.core.ordering import order_nodes
 
-    schedulable = set(suspect.schedulable_operations)
-    cone = suspect.fanin_tree(root, domain_params.tau) & schedulable
+    index = suspect.locality_index()
+    cone = index.cone(index.index[root], domain_params.tau)
     if len(cone) < len(watermark.cone):
         return None
     try:
-        ordering = order_nodes(suspect, root, sorted(cone))
+        ordering = order_nodes(
+            suspect, root, sorted(index.nodes[i] for i in cone)
+        )
     except WatermarkError:
         return None
     pairs: List[Tuple[str, str]] = []

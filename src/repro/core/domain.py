@@ -21,13 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.cdfg.graph import CDFG, EdgeKind
+from repro.cdfg.graph import CDFG
 from repro.core.ordering import NodeOrdering, order_nodes, structural_hashes
 from repro.crypto.bitstream import BitStream
 from repro.errors import DomainSelectionError
 from repro.resilience.budget import Budget, charge
-
-_LOCALITY_KINDS = (EdgeKind.DATA, EdgeKind.CONTROL)
 
 
 @dataclass(frozen=True)
@@ -88,28 +86,35 @@ class Domain:
         return len(self.nodes)
 
 
-def candidate_roots(cdfg: CDFG, params: DomainParams) -> List[str]:
+def candidate_roots(
+    cdfg: CDFG, params: DomainParams, budget: Optional[Budget] = None
+) -> List[str]:
     """Roots worth considering, in a name-independent canonical order.
 
     A useful root has a fanin cone of at least ``min_domain_size`` nodes
     within distance ``tau``.  Candidates are ordered by their structural
     hash so the bitstream's choice is reproducible across renamings
     (up to graph automorphism).
+
+    An optional *budget* is charged once per scanned root, so a huge
+    design stops inside the scan with
+    :class:`~repro.errors.BudgetExceededError`.
     """
-    schedulable = set(cdfg.schedulable_operations)
-    candidates = [
-        node
-        for node in schedulable
-        if len(cdfg.fanin_tree(node, params.tau) & schedulable)
-        >= params.min_domain_size
-    ]
+    index = cdfg.locality_index()
+    candidates = []
+    for root in range(len(index.nodes)):
+        if not index.schedulable[root]:
+            continue
+        charge(budget, what="candidate_roots")
+        if index.cone_reaches(root, params.tau, params.min_domain_size):
+            candidates.append(index.nodes[root])
     if not candidates:
         raise DomainSelectionError(
             f"no node of {cdfg.name!r} has a fanin cone of "
             f">= {params.min_domain_size} schedulable nodes within "
             f"distance {params.tau}"
         )
-    hashes = structural_hashes(cdfg, set(cdfg.operations))
+    hashes = structural_hashes(cdfg, set(index.nodes))
     return sorted(candidates, key=lambda n: (hashes[n], n))
 
 
@@ -130,31 +135,32 @@ def select_domain(
     An optional *budget* is charged once per visited cone node and may
     raise :class:`~repro.errors.BudgetExceededError` mid-carve.
     """
-    schedulable = set(cdfg.schedulable_operations)
-    cone = cdfg.fanin_tree(root, params.tau) & schedulable
-    if root not in cone:
+    index = cdfg.locality_index()
+    (start,) = index.ids((root,))
+    if not index.schedulable[start]:
         raise DomainSelectionError(f"root {root!r} is not schedulable")
-    ordering = order_nodes(cdfg, root, sorted(cone))
+    cone = index.cone(start, params.tau)
+    names = index.nodes
+    ordering = order_nodes(cdfg, root, sorted(names[i] for i in cone))
+    rank = {index.index[n]: i for n, i in ordering.identifier.items()}
 
-    selected = {root}
-    queue: List[str] = [root]
+    selected = {start}
+    queue: List[int] = [start]
     while queue:
         current = queue.pop(0)
         charge(budget, what="select_domain")
         inputs = [
             pred
-            for pred in cdfg.predecessors(
-                current, kinds=_LOCALITY_KINDS, skeleton=True
-            )
+            for pred in index.preds[current]
             if pred in cone and pred not in selected
         ]
         if not inputs:
             continue
-        inputs.sort(key=lambda n: ordering.identifier[n])
+        inputs.sort(key=rank.__getitem__)
         mandatory = bitstream.choice(inputs)
         chosen = [mandatory]
         for candidate in inputs:
-            if candidate is mandatory:
+            if candidate == mandatory:
                 continue
             if bitstream.bernoulli(params.include_probability):
                 chosen.append(candidate)
@@ -164,7 +170,7 @@ def select_domain(
 
     ordered_cone = tuple(ordering.nodes)
     ordered_selected = tuple(
-        n for n in ordering.nodes if n in selected
+        n for n in ordering.nodes if index.index[n] in selected
     )
     return Domain(
         root=root,
@@ -206,7 +212,7 @@ def select_root_and_domain(
             )
         return domain
     if roots is None:
-        roots = candidate_roots(cdfg, params)
+        roots = candidate_roots(cdfg, params, budget)
     last_size = 0
     for _ in range(max_retries):
         root = bitstream.choice(roots)

@@ -31,32 +31,19 @@ from dataclasses import dataclass
 from hashlib import sha256
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.cdfg.graph import CDFG, EdgeKind
+from repro.cdfg.graph import CDFG, LocalityIndex
 from repro.cdfg.ops import functionality_id
 from repro.errors import WatermarkError
-
-_LOCALITY_KINDS = (EdgeKind.DATA, EdgeKind.CONTROL)
 
 
 def fanin_tree_within(
     cdfg: CDFG, node: str, distance: int, universe: Set[str]
 ) -> Set[str]:
     """Transitive fanin of *node* within *distance*, clipped to *universe*."""
-    frontier = {node}
-    seen = {node}
-    for _ in range(distance):
-        nxt: Set[str] = set()
-        for current in frontier:
-            for pred in cdfg.predecessors(
-                current, kinds=_LOCALITY_KINDS, skeleton=True
-            ):
-                if pred in universe and pred not in seen:
-                    seen.add(pred)
-                    nxt.add(pred)
-        if not nxt:
-            break
-        frontier = nxt
-    return seen
+    index = cdfg.locality_index()
+    (start,) = index.ids((node,))
+    members = index.fanin(start, distance, within=index.ids(universe))
+    return {index.nodes[i] for i in members}
 
 
 def criterion_c2(cdfg: CDFG, node: str, distance: int, universe: Set[str]) -> int:
@@ -80,45 +67,36 @@ def structural_hashes(
     Name-independent: seeds on operation type and in/out degrees within
     the universe, then iteratively mixes sorted neighbor hashes.
     """
-    sub_preds = {
-        n: [
-            p
-            for p in cdfg.predecessors(
-                n, kinds=_LOCALITY_KINDS, skeleton=True
-            )
-            if p in universe
-        ]
-        for n in universe
-    }
-    sub_succs = {
-        n: [
-            s
-            for s in cdfg.successors(
-                n, kinds=_LOCALITY_KINDS, skeleton=True
-            )
-            if s in universe
-        ]
-        for n in universe
-    }
-    labels = {
-        n: sha256(
-            f"{cdfg.op(n).name}|{len(sub_preds[n])}|{len(sub_succs[n])}".encode()
+    index = cdfg.locality_index()
+    members = sorted(index.ids(universe))
+    position = {i: k for k, i in enumerate(members)}
+    preds = [
+        [position[p] for p in index.preds[i] if p in position] for i in members
+    ]
+    succs = [
+        [position[s] for s in index.succs[i] if s in position] for i in members
+    ]
+    labels = [
+        sha256(
+            f"{index.ops[i].name}|{len(preds[k])}|{len(succs[k])}".encode()
         ).hexdigest()
-        for n in universe
-    }
+        for k, i in enumerate(members)
+    ]
     for _ in range(rounds):
-        new_labels = {}
-        for n in universe:
-            payload = (
-                labels[n]
-                + "<"
-                + ",".join(sorted(labels[p] for p in sub_preds[n]))
-                + ">"
-                + ",".join(sorted(labels[s] for s in sub_succs[n]))
-            )
-            new_labels[n] = sha256(payload.encode()).hexdigest()
-        labels = new_labels
-    return labels
+        at = labels.__getitem__
+        labels = [
+            sha256(
+                (
+                    labels[k]
+                    + "<"
+                    + ",".join(sorted(map(at, preds[k])))
+                    + ">"
+                    + ",".join(sorted(map(at, succs[k])))
+                ).encode()
+            ).hexdigest()
+            for k in range(len(members))
+        ]
+    return {index.nodes[i]: label for i, label in zip(members, labels)}
 
 
 @dataclass(frozen=True)
@@ -154,8 +132,8 @@ class NodeOrdering:
 
 
 def _levels_within(
-    cdfg: CDFG, root: str, universe: Set[str]
-) -> Dict[str, int]:
+    index: LocalityIndex, root: int, universe: Set[int]
+) -> Dict[int, int]:
     """Criterion C1 restricted to the locality.
 
     ``L_i`` = longest path from *root* back to ``n_i`` using only
@@ -164,25 +142,18 @@ def _levels_within(
     note) and avoids walking the whole design per carve.
     """
     sub_succs = {
-        n: [
-            s
-            for s in cdfg.successors(
-                n, kinds=_LOCALITY_KINDS, skeleton=True
-            )
-            if s in universe
-        ]
-        for n in universe
+        n: [s for s in index.succs[n] if s in universe] for n in universe
     }
     # Kahn order over the induced subgraph, processed root-outwards: a
     # node's level is final once all its in-universe successors are.
     out_deg = {n: len(sub_succs[n]) for n in universe}
-    sub_preds: Dict[str, List[str]] = {n: [] for n in universe}
+    sub_preds: Dict[int, List[int]] = {n: [] for n in universe}
     for n, succs in sub_succs.items():
         for s in succs:
             sub_preds[s].append(n)
-    levels: Dict[str, int] = {}
+    levels: Dict[int, int] = {}
     ready = [n for n in universe if out_deg[n] == 0]
-    order: List[str] = []
+    order: List[int] = []
     while ready:
         current = ready.pop()
         order.append(current)
@@ -200,35 +171,28 @@ def _levels_within(
             if succ_level >= 0:
                 best = max(best, succ_level + 1)
         levels[current] = best
-    unreachable = [n for n, lvl in levels.items() if lvl < 0]
+    unreachable = [index.nodes[n] for n, lvl in levels.items() if lvl < 0]
     if unreachable:
         raise WatermarkError(
-            f"nodes outside the fanin cone of {root!r}: "
+            f"nodes outside the fanin cone of {index.nodes[root]!r}: "
             f"{sorted(unreachable)}"
         )
     return levels
 
 
 def _criteria_profiles(
-    cdfg: CDFG, universe: Set[str], max_distance: int
-) -> Dict[str, Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    index: LocalityIndex, universe: Set[int], max_distance: int
+) -> Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """C2 and C3 profiles for every node, one clipped BFS per node.
 
     Returns node → ``(counts, sums)`` where ``counts[d-1] = K_i(d)`` and
     ``sums[d-1] = φ(n_i, d)`` for ``d = 1..max_distance``.
     """
     sub_preds = {
-        n: [
-            p
-            for p in cdfg.predecessors(
-                n, kinds=_LOCALITY_KINDS, skeleton=True
-            )
-            if p in universe
-        ]
-        for n in universe
+        n: [p for p in index.preds[n] if p in universe] for n in universe
     }
-    f_ids = {n: functionality_id(cdfg.op(n)) for n in universe}
-    profiles: Dict[str, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+    f_ids = {n: functionality_id(index.ops[n]) for n in universe}
+    profiles: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
     for node in universe:
         seen = {node}
         frontier = [node]
@@ -237,7 +201,7 @@ def _criteria_profiles(
         counts: List[int] = []
         sums: List[int] = []
         for _ in range(max_distance):
-            nxt: List[str] = []
+            nxt: List[int] = []
             for current in frontier:
                 for pred in sub_preds[current]:
                     if pred not in seen:
@@ -276,24 +240,25 @@ def order_nodes(
     universe_set = set(universe)
     if root not in universe_set:
         raise WatermarkError(f"root {root!r} must belong to the universe")
-    levels = _levels_within(cdfg, root, universe_set)
+    index = cdfg.locality_index()
+    ids = index.ids(universe_set)
+    levels = _levels_within(index, index.index[root], ids)
     hashes = structural_hashes(cdfg, universe_set)
 
-    effective = min(max_distance, max(1, len(universe_set)))
-    profiles = _criteria_profiles(cdfg, universe_set, effective)
+    effective = min(max_distance, max(1, len(ids)))
+    profiles = _criteria_profiles(index, ids, effective)
     keys: Dict[str, Tuple] = {}
-    for node in universe_set:
+    for node in ids:
         c2, c3 = profiles[node]
-        keys[node] = (levels[node], c2, c3, hashes[node])
+        name = index.nodes[node]
+        keys[name] = (levels[node], c2, c3, hashes[name])
 
-    unambiguous = len(set(keys.values())) == len(universe_set)
+    unambiguous = len(set(keys.values())) == len(keys)
     # Descending rank per the paper's "n_i > n_j" relation; the node name
     # is a final deterministic (but arbitrary) tie-break for automorphic
     # nodes, which are structurally interchangeable anyway.
-    ordered = sorted(
-        universe_set, key=lambda n: (keys[n], n), reverse=True
-    )
-    identifier = {node: index for index, node in enumerate(ordered)}
+    ordered = sorted(keys, key=lambda n: (keys[n], n), reverse=True)
+    identifier = {node: rank for rank, node in enumerate(ordered)}
     return NodeOrdering(
         root=root,
         nodes=tuple(ordered),

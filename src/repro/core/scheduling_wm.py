@@ -387,6 +387,10 @@ class SchedulingWatermarker:
         # nodes for the requested K ("the entire process of subtree
         # selection is repeated", §IV-A); fall back to the richest
         # localities seen if none fully suffices.
+        # Localities ignore temporal edges, so the candidate roots cannot
+        # change between retries: scan the design once, up front.
+        if roots is None:
+            roots = candidate_roots(cdfg, self.params.domain, budget)
         fallbacks: List[Tuple[int, Domain, List[str]]] = []
         for _ in range(self.params.max_domain_retries):
             check_deadline(budget, what="embed retry loop")

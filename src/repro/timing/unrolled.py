@@ -9,13 +9,18 @@ deadline of ``horizon + k * ii``, wire every inter-iteration edge
 ``(u, v, d)`` from copy ``k`` of ``u`` to copy ``k + d`` of ``v``, and
 run the ordinary acyclic longest-path passes copy by copy.
 
-With ``K = sum(distances) + 2`` the per-iteration offsets
-``asap(v, k) - k*ii`` have converged for the last two copies whenever
-the II is feasible: a maximal witness path can be taken simple (cycles
-of weight ``sum(lat) - ii*sum(dist) <= 0`` never help), so it crosses
-each back edge at most once and spans at most ``sum(distances)``
-iterations.  Non-convergence therefore certifies a positive-weight
-cycle — the same infeasibility the modulo kernel reports.
+Let ``D = sum(distances)``.  When the II is feasible the per-iteration
+offsets ``asap(v, k) - k*ii`` are final from copy ``D`` on: a maximal
+witness path can be taken simple (cycles of weight
+``sum(lat) - ii*sum(dist) <= 0`` never help), so it crosses each back
+edge at most once and spans at most ``D`` iterations.  When it is not,
+some simple cycle of distance ``d <= D`` has positive weight and lifts
+the offsets of its nodes by at least one every ``d`` copies — a
+staircase whose adjacent copies may well agree.  Convergence is
+therefore judged across a full recurrence period: ``K = 2*D + 2``
+copies are unrolled and the offsets of the last ``D + 1`` must all be
+equal.  Any disagreement certifies a positive-weight cycle — the same
+infeasibility the modulo kernel reports.
 
 The two implementations share nothing beyond the view's adjacency, which
 is exactly what the ``periodic_windows`` differential oracle wants: the
@@ -33,10 +38,16 @@ from repro.errors import InfeasibleScheduleError
 Window = Tuple[int, int]
 
 
+def recurrence_period(cdfg: CDFG) -> int:
+    """Total back-edge distance ``D``: no simple cycle spans more."""
+    return sum(d for _, _, d in cdfg.view().back_edges)
+
+
 def unroll_copies(cdfg: CDFG) -> int:
-    """Iterations to materialize: total back-edge distance plus two."""
-    view = cdfg.view()
-    return sum(d for _, _, d in view.back_edges) + 2
+    """Iterations to materialize: ``D`` to converge, ``D + 1`` to check
+    that the offsets stay put over a full recurrence period, and one
+    more so the earliest checked copy already sees all ``D`` before it."""
+    return 2 * recurrence_period(cdfg) + 2
 
 
 def unrolled_reference_windows(
@@ -79,14 +90,16 @@ def unrolled_reference_windows(
                     if candidate > lo:
                         lo = candidate
             row[i] = lo
+    period = recurrence_period(cdfg)
     last = copies - 1
     steady_lo = [asap[last][i] - last * ii for i in range(n)]
-    previous = [asap[last - 1][i] - (last - 1) * ii for i in range(n)]
-    if steady_lo != previous:
-        raise InfeasibleScheduleError(
-            f"initiation interval {ii} infeasible for {cdfg.name!r}: "
-            f"unrolled iteration offsets still rising after {copies} copies"
-        )
+    for k in range(last - period, last):
+        if [asap[k][i] - k * ii for i in range(n)] != steady_lo:
+            raise InfeasibleScheduleError(
+                f"initiation interval {ii} infeasible for {cdfg.name!r}: "
+                f"unrolled iteration offsets still rising after "
+                f"{copies} copies"
+            )
 
     # Backward: ALAP per copy, deadline horizon + k*ii, back edges read
     # later copies; copy 0 is the fully constrained (steady) one.
@@ -107,12 +120,12 @@ def unrolled_reference_windows(
                         hi = candidate
             row[i] = hi
     steady_hi = list(alap[0])
-    previous = [alap[1][i] - ii for i in range(n)]
-    if steady_hi != previous:  # pragma: no cover - ASAP raises first
-        raise InfeasibleScheduleError(
-            f"initiation interval {ii} infeasible for {cdfg.name!r}: "
-            f"unrolled deadlines still falling after {copies} copies"
-        )
+    for k in range(1, period + 1):
+        if [alap[k][i] - k * ii for i in range(n)] != steady_hi:
+            raise InfeasibleScheduleError(  # pragma: no cover - ASAP first
+                f"initiation interval {ii} infeasible for {cdfg.name!r}: "
+                f"unrolled deadlines still falling after {copies} copies"
+            )
 
     for i, name in enumerate(view.nodes):
         if steady_lo[i] > steady_hi[i]:

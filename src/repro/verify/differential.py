@@ -30,6 +30,10 @@ whenever they disagree:
   the unrolled reference (one materialized graph copy per unit of
   total back-edge distance), bit-identical at several IIs per cyclic
   design, with matching infeasibility verdicts below the minimum II.
+* :func:`oracle_locality` — the locality index's fanin cones,
+  candidate roots, structural hashes and canonical orderings against
+  per-node networkx walks (:mod:`repro.verify.locality`) on acyclic,
+  cyclic and temporally marked designs.
 * :func:`oracle_rtl_roundtrip` — Verilog emission against extraction:
   emit a scheduled+bound (possibly marked) design, parse the text back,
   and demand bit-identical controller tables, bindings, schedules,
@@ -51,7 +55,8 @@ import networkx as nx
 from repro.cdfg.generators import random_cyclic_cdfg, random_layered_cdfg
 from repro.cdfg.graph import CDFG
 from repro.core.coincidence import exact_pc, monte_carlo_pc
-from repro.core.domain import DomainParams
+from repro.core.domain import DomainParams, candidate_roots
+from repro.core.ordering import order_nodes, structural_hashes
 from repro.core.scheduling_wm import (
     SchedulingWatermark,
     SchedulingWatermarker,
@@ -81,6 +86,7 @@ from repro.timing.windows import (
     periodic_scheduling_windows,
     scheduling_windows,
 )
+from repro.verify import locality as locality_ref
 from repro.verify.report import Divergence
 
 #: Author every verification embed uses; constraints are keyed, so a
@@ -529,6 +535,109 @@ def periodic_windows_trial(seed: int) -> List[Divergence]:
 def oracle_periodic_windows(base_seed: int, trial: int) -> List[Divergence]:
     """Periodic-windows oracle, one trial."""
     return periodic_windows_trial(derive_seed(base_seed, trial, "periodic"))
+
+
+# ----------------------------------------------------------------------
+# locality index vs networkx walks
+# ----------------------------------------------------------------------
+def _outcome(fn, *args):
+    """``fn(*args)``, or the name of the error it raised."""
+    try:
+        return fn(*args)
+    except (CDFGError, WatermarkError) as exc:
+        return f"raised {type(exc).__name__}"
+
+
+def _locality_designs(rng: random.Random, seed: int) -> List[CDFG]:
+    """An acyclic, a cyclic and a temporally marked design."""
+    acyclic = random_layered_cdfg(rng.choice((24, 36, 48)), seed=seed)
+    cyclic = random_cyclic_cdfg(
+        rng.choice((24, 36, 48)),
+        seed=seed + 1,
+        num_back_edges=rng.randint(1, 6),
+        max_distance=rng.randint(1, 3),
+    )
+    marked = random_layered_cdfg(rng.choice((24, 36, 48)), seed=seed + 2)
+    marked.name += ".temporal"
+    order = marked.topological_order()
+    for _ in range(len(order)):
+        src, dst = sorted(rng.sample(range(len(order)), 2))
+        if not marked.graph.has_edge(order[src], order[dst]):
+            marked.add_temporal_edge(order[src], order[dst])
+    return [acyclic, cyclic, marked]
+
+
+def locality_trial(seed: int) -> List[Divergence]:
+    """Locality queries from the index against per-node networkx walks.
+
+    Per design: every node's fanin cone, the candidate-root list, the
+    whole-design WL hashes, and the canonical ordering of a few roots'
+    cones must agree exactly.  Temporal edges and positive-distance
+    back edges are present so a walk that follows either one diverges.
+    """
+    rng = random.Random(seed)
+    params = DomainParams(
+        tau=rng.randint(1, 5), min_domain_size=rng.randint(2, 8)
+    )
+    divergences: List[Divergence] = []
+    for design in _locality_designs(rng, seed):
+
+        def report(detail: str, **data) -> None:
+            divergences.append(
+                Divergence(
+                    oracle="locality",
+                    design=design.name,
+                    seed=seed,
+                    detail=detail,
+                    data=data,
+                )
+            )
+
+        diffs = [
+            node
+            for node in design.operations
+            if design.fanin_tree(node, params.tau)
+            != locality_ref.reference_fanin_tree(design, node, params.tau)
+        ]
+        if diffs:
+            report(
+                f"fanin cones differ at {len(diffs)} node(s)",
+                tau=params.tau,
+                nodes=diffs[:10],
+            )
+        roots = _outcome(candidate_roots, design, params)
+        expected = _outcome(
+            locality_ref.reference_candidate_roots, design, params
+        )
+        if roots != expected:
+            report(
+                "candidate roots differ", production=roots, reference=expected
+            )
+        universe = set(design.operations)
+        if structural_hashes(design, universe) != (
+            locality_ref.reference_structural_hashes(design, universe)
+        ):
+            report("structural hashes differ")
+        schedulable = set(design.schedulable_operations)
+        for root in rng.sample(sorted(schedulable), min(4, len(schedulable))):
+            cone = sorted(
+                locality_ref.reference_fanin_tree(design, root, params.tau)
+                & schedulable
+            )
+            ordering = _outcome(order_nodes, design, root, cone)
+            expected = _outcome(
+                locality_ref.reference_order_nodes, design, root, cone
+            )
+            if ordering != expected:
+                report(
+                    f"canonical ordering of {root!r}'s cone differs", root=root
+                )
+    return divergences
+
+
+def oracle_locality(base_seed: int, trial: int) -> List[Divergence]:
+    """Locality-index oracle, one trial."""
+    return locality_trial(derive_seed(base_seed, trial, "locality"))
 
 
 # ----------------------------------------------------------------------

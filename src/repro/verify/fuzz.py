@@ -9,7 +9,10 @@ seeded random sequence of ``add_operation`` / ``add_edge`` /
 ``remove_edge`` / ``remove_operation`` / ``set_op`` / ``set_ppo`` /
 ``set_latency`` calls against a design and, after **every** step,
 compares the warm view (``cdfg.view()``) against a cold
-``CDFGView(cdfg)`` with :meth:`CDFGView.divergence_from`.
+``CDFGView(cdfg)`` with :meth:`CDFGView.divergence_from`, and the
+memoized locality index (``cdfg.locality_index()``) against a cold
+:class:`~repro.cdfg.graph.LocalityIndex` — the skeleton counter must
+move on every mutation a locality can see.
 
 Every few steps it also opens an :class:`IncrementalWindows` session,
 inserts a handful of feasible temporal edges through the incremental
@@ -24,7 +27,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from repro.cdfg.graph import CDFG, EdgeKind
+from repro.cdfg.graph import CDFG, EdgeKind, LocalityIndex
 from repro.cdfg.ops import OpType
 from repro.errors import CDFGError, InfeasibleScheduleError
 from repro.timing.kernel import CDFGView, IncrementalWindows
@@ -46,13 +49,32 @@ MUTATION_OPS = (
 KERNEL_SESSION_STRIDE = 10
 
 
+def _locality_divergence(cdfg: CDFG) -> Optional[str]:
+    """Memoized locality index vs. a cold one; ``None`` when coherent.
+
+    Neighbor lists compare as sets: only membership is semantic.
+    """
+    warm = cdfg.locality_index()
+    cold = LocalityIndex(cdfg.graph)
+    for attr in ("nodes", "ops", "schedulable", "preds", "succs"):
+        mine, theirs = getattr(warm, attr), getattr(cold, attr)
+        if attr in ("preds", "succs"):
+            mine, theirs = list(map(set, mine)), list(map(set, theirs))
+        if mine != theirs:
+            return f"locality index {attr} stale"
+    return None
+
+
 def _compare_views(
     cdfg: CDFG, step: int, action: str, seed: int
 ) -> Optional[Divergence]:
-    """Warm (cached) view vs. cold rebuild; ``None`` when coherent."""
+    """Warm (cached) view and locality index vs. cold rebuilds; ``None``
+    when coherent."""
     warm = cdfg.view()
     cold = CDFGView(cdfg)
     problem = warm.divergence_from(cold)
+    if problem is None:
+        problem = _locality_divergence(cdfg)
     if problem is None:
         return None
     return Divergence(

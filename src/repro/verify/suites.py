@@ -4,7 +4,8 @@ Three suites, each a set of named oracles:
 
 * ``differential`` — scheduler cross-checks, kernel-vs-reference
   embedding, incremental-vs-full windows, vectorized-vs-worklist
-  timing sweeps, Verilog emit-vs-extract round trips,
+  timing sweeps, locality-index-vs-networkx-walk locality queries,
+  Verilog emit-vs-extract round trips,
   exact-vs-Monte-Carlo ``P_c``, and the serving engine's ``attack``
   job vs the arena library path (:mod:`repro.verify.differential`);
 * ``metamorphic`` — renaming, re-serialization, latency scaling, and
@@ -59,6 +60,7 @@ DIFFERENTIAL_ORACLES: Dict[str, TrialFn] = {
     "windows_kernel": differential.oracle_windows_kernel,
     "periodic_windows": differential.oracle_periodic_windows,
     "kernel_vectorized": differential.oracle_kernel_vectorized,
+    "locality": differential.oracle_locality,
     "rtl_roundtrip": differential.oracle_rtl_roundtrip,
 }
 

@@ -73,6 +73,8 @@ def test_sigkill_then_resume_reproduces_uninterrupted_table(
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        # Own process group, so the kill reaches its pool workers too.
+        start_new_session=True,
     )
     journal = victim_dir / "journal.jsonl"
     deadline = time.monotonic() + 120
@@ -81,12 +83,18 @@ def test_sigkill_then_resume_reproduces_uninterrupted_table(
             if process.poll() is not None:
                 break  # finished before we could kill it: still valid
             if journal.exists() and journal.read_bytes().count(b"\n") >= 2:
-                process.send_signal(signal.SIGKILL)
+                os.killpg(process.pid, signal.SIGKILL)
                 break
             time.sleep(0.01)
         else:
             pytest.fail("victim campaign never made journal progress")
     finally:
+        # Reap whatever of the group is left (workers outlive a parent
+        # that finished or was killed alone).
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
         process.wait(timeout=60)
 
     # Resume from the run directory alone (no sweep flags needed) and

@@ -81,6 +81,7 @@ class TestOraclesClean:
             "windows_kernel",
             "periodic_windows",
             "kernel_vectorized",
+            "locality",
             "rtl_roundtrip",
             "coincidence_mc",
             "attack_service",
