@@ -38,7 +38,6 @@ from repro.timing.windows import (
     critical_path_length,
     periodic_critical_path_length,
     periodic_scheduling_windows,
-    scheduling_windows,
 )
 
 #: Per-edge probability floor: an edge whose coincidental-order
@@ -246,6 +245,34 @@ def approx_edge_log10(
     return math.log10(probability)
 
 
+def _endpoint_windows(
+    cdfg: CDFG, horizon: int, edges: Sequence[Tuple[str, str]]
+) -> Dict[str, Tuple[int, int]]:
+    """The :func:`~repro.timing.windows.scheduling_windows` entries of the
+    edges' endpoints.
+
+    Reads the view's memoized ASAP/ALAP arrays for just these nodes
+    instead of building the whole-design map.  Names outside the design
+    are left out, so :func:`approx_edge_log10` still rejects them.
+
+    Raises
+    ------
+    InfeasibleScheduleError
+        If *horizon* is shorter than the critical path.
+    """
+    view = cdfg.view()
+    alap = view.alap(horizon)
+    asap = view.asap()
+    index = view.index
+    windows: Dict[str, Tuple[int, int]] = {}
+    for edge in edges:
+        for name in edge:
+            i = index.get(name)
+            if i is not None:
+                windows[name] = (asap[i], alap[i])
+    return windows
+
+
 def approx_log10_pc(
     cdfg: CDFG,
     temporal_edges: Iterable[Tuple[str, str]],
@@ -275,7 +302,7 @@ def approx_log10_pc(
     if ii is not None:
         windows = periodic_scheduling_windows(cdfg, horizon, ii)
     else:
-        windows = scheduling_windows(cdfg, horizon)
+        windows = _endpoint_windows(cdfg, horizon, edges)
     return sum(
         approx_edge_log10(
             windows, src, dst, model=model, lam=lam, shift=(ii or 0) * d

@@ -6,15 +6,26 @@ step twice: scheduling "determines … the lifetimes of variables" (§IV-A)
 and the bound datapath is what a reverse engineer sees (§II).
 
 * **Functional-unit binding** — operations of one resource class that
-  run in disjoint control steps share a unit instance (greedy step scan).
+  run in disjoint control steps share a unit instance: each operation,
+  in start order, takes the lowest-indexed unit of its class that is
+  free by its start step.
 * **Register binding** — classic left-edge algorithm over variable
   lifetimes: variables whose lifetimes do not overlap share a register.
+
+Both are first-fit over intervals in non-decreasing start order, served
+by two heaps per pool (busy instances keyed by the step they free,
+free instances keyed by index): O(n log n) instead of a scan of every
+instance per interval.  :meth:`Binding.verify` checks registers with
+one sweep in birth order.  The original scans and the pairwise
+register check live in :mod:`repro.verify.binding` as the reference
+the ``binding`` differential oracle checks these against.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cdfg.graph import CDFG
 from repro.cdfg.ops import OpType, ResourceClass
@@ -120,62 +131,106 @@ class Binding:
                         f"{cls.value}[{index}] at step {step}"
                     )
                 busy[key] = node
-        lifetimes = {
-            lt.variable: lt for lt in variable_lifetimes(cdfg, schedule)
-        }
-        for a, reg_a in self.register_of.items():
-            for b, reg_b in self.register_of.items():
-                if a >= b or reg_a != reg_b:
-                    continue
-                if lifetimes[a].overlaps(lifetimes[b]):
-                    raise SchedulingError(
-                        f"register conflict: {a!r} and {b!r} share "
-                        f"r{reg_a} while both live"
-                    )
+        conflict = _register_conflict(
+            variable_lifetimes(cdfg, schedule), self.register_of
+        )
+        if conflict is not None:
+            a, b, register = conflict
+            raise SchedulingError(
+                f"register conflict: {a!r} and {b!r} share "
+                f"r{register} while both live"
+            )
+
+
+def _register_conflict(
+    lifetimes: Iterable[Lifetime], register_of: Dict[str, int]
+) -> Optional[Tuple[str, str, int]]:
+    """First pair of overlapping lifetimes bound to one register.
+
+    One sweep over every register's lifetimes at once, in birth order.
+    Per register it keeps the lifetime with the latest death so far, so
+    one comparison checks a newcomer against every earlier lifetime of
+    its register, however many lifetimes of other registers were born
+    in between.  Returns the two variables (name-ordered) and the
+    register, or ``None`` when the registers are conflict-free.
+    Variables without a register are ignored.
+    """
+    latest: Dict[int, Lifetime] = {}
+    for lifetime in sorted(lifetimes, key=lambda lt: lt.birth):
+        register = register_of.get(lifetime.variable)
+        if register is None:
+            continue
+        holder = latest.get(register)
+        if holder is not None and holder.death > lifetime.birth:
+            a, b = sorted((holder.variable, lifetime.variable))
+            return a, b, register
+        # The holder died by this birth, so this death is the latest.
+        latest[register] = lifetime
+    return None
+
+
+class _FirstFit:
+    """Lowest-indexed free instance for intervals in start order.
+
+    Instances that free by a request's start are moved from the busy
+    heap to the free heap; since starts never decrease, an instance on
+    the free heap stays free, so popping the lowest index is exactly a
+    scan of the instances in index order for the first free one.
+    """
+
+    __slots__ = ("busy", "free", "count")
+
+    def __init__(self) -> None:
+        self.busy: List[Tuple[int, int]] = []  # (free-from step, index)
+        self.free: List[int] = []
+        self.count = 0
+
+    def take(self, start: int, end: int) -> int:
+        """Instance for the interval ``[start, end)``."""
+        busy, free = self.busy, self.free
+        while busy and busy[0][0] <= start:
+            heapq.heappush(free, heapq.heappop(busy)[1])
+        if free:
+            index = heapq.heappop(free)
+        else:
+            index = self.count
+            self.count += 1
+        heapq.heappush(busy, (end, index))
+        return index
 
 
 def left_edge_registers(lifetimes: List[Lifetime]) -> Dict[str, int]:
-    """Left-edge register allocation: minimal registers for the intervals."""
-    assignment: Dict[str, int] = {}
-    remaining = sorted(lifetimes, key=lambda lt: (lt.birth, lt.death))
-    register = 0
-    while remaining:
-        current_end = None
-        leftover = []
-        for lifetime in remaining:
-            if current_end is None or lifetime.birth >= current_end:
-                assignment[lifetime.variable] = register
-                current_end = lifetime.death
-            else:
-                leftover.append(lifetime)
-        remaining = leftover
-        register += 1
-    return assignment
+    """Left-edge register allocation: minimal registers for the intervals.
+
+    First-fit in (birth, death) order, which assigns exactly what
+    filling one register at a time from the left edge does: a lifetime
+    lands in the lowest register whose last occupant has died by its
+    birth.
+    """
+    pool = _FirstFit()
+    return {
+        lifetime.variable: pool.take(lifetime.birth, lifetime.death)
+        for lifetime in sorted(lifetimes, key=lambda lt: (lt.birth, lt.death))
+    }
 
 
 def bind(cdfg: CDFG, schedule: Schedule) -> Binding:
     """Bind a scheduled design to units and registers."""
     binding = Binding()
-    # Functional units: greedy per-class step scan.
-    occupied: Dict[ResourceClass, List[int]] = {}  # unit -> busy-until step
+    pools: Dict[ResourceClass, _FirstFit] = {}
     by_start = sorted(
-        (n for n in cdfg.schedulable_operations),
+        cdfg.schedulable_operations,
         key=lambda n: (schedule.start(n), n),
     )
     for node in by_start:
         cls = cdfg.op(node).resource_class
         start = schedule.start(node)
-        finish = start + cdfg.latency(node)
-        units = occupied.setdefault(cls, [])
-        for index, busy_until in enumerate(units):
-            if busy_until <= start:
-                units[index] = finish
-                binding.unit_of[node] = (cls, index)
-                break
-        else:
-            units.append(finish)
-            binding.unit_of[node] = (cls, len(units) - 1)
-    # Registers: left edge over lifetimes.
+        pool = pools.get(cls)
+        if pool is None:
+            pool = pools[cls] = _FirstFit()
+        binding.unit_of[node] = (
+            cls, pool.take(start, start + cdfg.latency(node))
+        )
     binding.register_of = left_edge_registers(
         variable_lifetimes(cdfg, schedule)
     )

@@ -185,6 +185,7 @@ class CDFGView:
         "_topo",
         "_topo_pos",
         "_asap",
+        "_critical_path",
         "_tails",
         "_alap_by_horizon",
         "_levels",
@@ -249,6 +250,7 @@ class CDFGView:
         self._topo: Optional[List[int]] = None
         self._topo_pos: Optional[List[int]] = None
         self._asap: Optional[List[int]] = None
+        self._critical_path: Optional[int] = None
         self._tails: Optional[List[int]] = None
         self._alap_by_horizon: "OrderedDict[int, List[int]]" = OrderedDict()
         self._levels: Optional[List[int]] = None
@@ -543,12 +545,17 @@ class CDFGView:
         return tails.tolist()
 
     def critical_path_length(self) -> int:
-        """Longest path through the graph, in control steps."""
-        asap = self.asap()
-        latency = self.latency
-        if not asap:
-            return 0
-        return max(asap[i] + latency[i] for i in range(len(asap)))
+        """Longest path through the graph, in control steps.
+
+        Memoized beside the ASAP array and dropped with it.
+        """
+        if self._critical_path is None:
+            asap = self.asap()
+            latency = self.latency
+            self._critical_path = max(
+                (asap[i] + latency[i] for i in range(len(asap))), default=0
+            )
+        return self._critical_path
 
     def alap(self, horizon: int) -> List[int]:
         """Latest start per node within *horizon* steps.
@@ -965,6 +972,7 @@ class CDFGView:
                 else:
                     self._drop_arrays()
             self._asap = None
+            self._critical_path = None
             self._tails = None
             self._alap_by_horizon.clear()
             self._asap_np = None

@@ -34,6 +34,11 @@ whenever they disagree:
   candidate roots, structural hashes and canonical orderings against
   per-node networkx walks (:mod:`repro.verify.locality`) on acyclic,
   cyclic and temporally marked designs.
+* :func:`oracle_binding` — the heap-based unit/register binding and
+  the birth-order register sweep against the original unit scan,
+  track-by-track left edge and pairwise register check
+  (:mod:`repro.verify.binding`): identical bindings on a list-scheduled
+  random design, and identical verdicts on planted reassignments.
 * :func:`oracle_rtl_roundtrip` — Verilog emission against extraction:
   emit a scheduled+bound (possibly marked) design, parse the text back,
   and demand bit-identical controller tables, bindings, schedules,
@@ -54,6 +59,7 @@ import networkx as nx
 
 from repro.cdfg.generators import random_cyclic_cdfg, random_layered_cdfg
 from repro.cdfg.graph import CDFG
+from repro.cdfg.ops import ResourceClass
 from repro.core.coincidence import exact_pc, monte_carlo_pc
 from repro.core.domain import DomainParams, candidate_roots
 from repro.core.ordering import order_nodes, structural_hashes
@@ -67,8 +73,10 @@ from repro.errors import (
     BudgetExceededError,
     CDFGError,
     InfeasibleScheduleError,
+    SchedulingError,
     WatermarkError,
 )
+from repro.rtl.binding import Binding, Lifetime, bind, variable_lifetimes
 from repro.scheduling.enumeration import (
     EnumerationLimitError,
     window_box_volume,
@@ -86,6 +94,7 @@ from repro.timing.windows import (
     periodic_scheduling_windows,
     scheduling_windows,
 )
+from repro.verify import binding as binding_ref
 from repro.verify import locality as locality_ref
 from repro.verify.report import Divergence
 
@@ -638,6 +647,146 @@ def locality_trial(seed: int) -> List[Divergence]:
 def oracle_locality(base_seed: int, trial: int) -> List[Divergence]:
     """Locality-index oracle, one trial."""
     return locality_trial(derive_seed(base_seed, trial, "locality"))
+
+
+# ----------------------------------------------------------------------
+# heap binding + register sweep vs scans + pairwise check
+# ----------------------------------------------------------------------
+#: Planted reassignments one binding trial checks verdicts on.
+BINDING_PLANTS_PER_TRIAL = 16
+
+
+def _verdict(verify, binding, design, schedule) -> str:
+    """``"ok"``, or which check of a binding verification raised."""
+    try:
+        verify(binding, design, schedule)
+    except SchedulingError as exc:
+        return str(exc).split(":", 1)[0]
+    return "ok"
+
+
+def _planted_bindings(
+    rng: random.Random, binding: Binding, lifetimes: List[Lifetime]
+) -> List[Tuple[str, Binding]]:
+    """Reassignments of a valid binding, each on its own copy.
+
+    Unit moves and swaps within a class, register moves and swaps, and
+    a merge of two variables born in the same step into the register
+    of the longer-lived one — a conflict that only the equal-birth pair
+    exhibits.
+    """
+    ops = sorted(binding.unit_of)
+    variables = sorted(binding.register_of)
+    units = binding.units_per_class()
+    register_of = binding.register_of
+    twins = [
+        (longer.variable, shorter.variable)
+        for longer in lifetimes
+        for shorter in lifetimes
+        if shorter.birth == longer.birth
+        and shorter.death <= longer.death
+        and register_of[shorter.variable] != register_of[longer.variable]
+    ]
+    kinds = ("unit move", "unit swap", "register move", "register swap")
+    if twins:
+        kinds += ("equal-birth merge",)
+    plants: List[Tuple[str, Binding]] = []
+    for _ in range(BINDING_PLANTS_PER_TRIAL):
+        planted = Binding(dict(binding.unit_of), dict(register_of))
+        kind = rng.choice(kinds)
+        if kind == "unit move":
+            op = rng.choice(ops)
+            cls = binding.unit_of[op][0]
+            planted.unit_of[op] = (cls, rng.randrange(units[cls]))
+        elif kind == "unit swap":
+            a = rng.choice(ops)
+            cls = binding.unit_of[a][0]
+            b = rng.choice([o for o in ops if binding.unit_of[o][0] is cls])
+            planted.unit_of[a] = binding.unit_of[b]
+            planted.unit_of[b] = binding.unit_of[a]
+        elif kind == "register move":
+            v, w = rng.choice(variables), rng.choice(variables)
+            planted.register_of[v] = register_of[w]
+        elif kind == "register swap":
+            v, w = rng.choice(variables), rng.choice(variables)
+            planted.register_of[v] = register_of[w]
+            planted.register_of[w] = register_of[v]
+        else:
+            longer, shorter = rng.choice(twins)
+            planted.register_of[shorter] = register_of[longer]
+        plants.append((kind, planted))
+    return plants
+
+
+def binding_trial(seed: int) -> List[Divergence]:
+    """Production binding against the reference scans, then verdicts.
+
+    A random design (watermarked when a locality fits) is list
+    scheduled, sometimes under unit limits.  :func:`~repro.rtl.binding.bind`
+    (which self-verifies) must return exactly the reference's
+    ``unit_of`` and ``register_of``.  Then each planted reassignment
+    must get the same verdict — ``ok``, ``unit conflict`` or
+    ``register conflict`` — from production :meth:`Binding.verify` and
+    the pairwise reference.
+    """
+    rng = random.Random(seed)
+    design = trial_design(seed, num_ops=rng.choice((24, 36, 48, 64)))
+    embedded = try_embed(design, seed)
+    if embedded is not None:
+        design = embedded[0]
+    resources = UNLIMITED
+    if rng.random() < 0.5:
+        resources = ResourceSet(
+            {
+                ResourceClass.ALU: rng.randint(1, 3),
+                ResourceClass.MULTIPLIER: rng.randint(1, 2),
+            }
+        )
+    schedule = list_schedule(design, resources=resources)
+    divergences: List[Divergence] = []
+
+    def report(detail: str, **data) -> None:
+        divergences.append(
+            Divergence(
+                oracle="binding",
+                design=design.name,
+                seed=seed,
+                detail=detail,
+                data=data,
+            )
+        )
+
+    try:
+        binding = bind(design, schedule)
+    except SchedulingError as exc:
+        report(f"bind rejected its own binding: {exc}")
+        return divergences
+    expected = binding_ref.reference_bind(design, schedule)
+    for name in ("unit_of", "register_of"):
+        got, want = getattr(binding, name), getattr(expected, name)
+        if got != want:
+            diff = sorted(
+                n for n in set(got) | set(want) if got.get(n) != want.get(n)
+            )
+            report(f"{name} differs on {len(diff)} name(s)", names=diff[:8])
+    lifetimes = variable_lifetimes(design, schedule)
+    for kind, planted in _planted_bindings(rng, binding, lifetimes):
+        production = _verdict(Binding.verify, planted, design, schedule)
+        reference = _verdict(
+            binding_ref.reference_verify, planted, design, schedule
+        )
+        if production != reference:
+            report(
+                f"{kind}: production verify says {production!r}, "
+                f"reference says {reference!r}",
+                kind=kind,
+            )
+    return divergences
+
+
+def oracle_binding(base_seed: int, trial: int) -> List[Divergence]:
+    """Binding oracle, one trial."""
+    return binding_trial(derive_seed(base_seed, trial, "binding"))
 
 
 # ----------------------------------------------------------------------

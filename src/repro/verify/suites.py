@@ -5,6 +5,7 @@ Three suites, each a set of named oracles:
 * ``differential`` — scheduler cross-checks, kernel-vs-reference
   embedding, incremental-vs-full windows, vectorized-vs-worklist
   timing sweeps, locality-index-vs-networkx-walk locality queries,
+  heap-vs-scan datapath binding and sweep-vs-pairwise binding checks,
   Verilog emit-vs-extract round trips,
   exact-vs-Monte-Carlo ``P_c``, and the serving engine's ``attack``
   job vs the arena library path (:mod:`repro.verify.differential`);
@@ -61,6 +62,7 @@ DIFFERENTIAL_ORACLES: Dict[str, TrialFn] = {
     "periodic_windows": differential.oracle_periodic_windows,
     "kernel_vectorized": differential.oracle_kernel_vectorized,
     "locality": differential.oracle_locality,
+    "binding": differential.oracle_binding,
     "rtl_roundtrip": differential.oracle_rtl_roundtrip,
 }
 

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import math
+import random
+from pathlib import Path
 
 import pytest
 
+from repro.cdfg.designs import fourth_order_parallel_iir
+from repro.cdfg.designs.hyper_suite import HYPER_SUITE
 from repro.core.coincidence import (
     MIN_EDGE_PROBABILITY,
     ExactPc,
@@ -15,8 +20,16 @@ from repro.core.coincidence import (
     exact_pc,
     format_pc_power,
 )
-from repro.errors import WatermarkError
+from repro.errors import InfeasibleScheduleError, WatermarkError
 from repro.timing.windows import critical_path_length, scheduling_windows
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+#: The golden designs' factories: the motivational example plus the
+#: whole HYPER suite (Table II).
+GOLDEN_FACTORIES = [("iir4_parallel", fourth_order_parallel_iir)] + [
+    (spec.name, spec.factory) for spec in HYPER_SUITE
+]
 
 
 class TestExactPc:
@@ -107,6 +120,54 @@ class TestApproxPc:
             exact = exact_pc(iir4, [edge]).log10_pc
             approx = approx_log10_pc(iir4, [edge], model="uniform")
             assert abs(exact - approx) < 1.0, edge
+
+
+def _golden_edges(design_name: str):
+    path = GOLDEN_DIR / f"{design_name}.json"
+    if not path.exists():
+        return []
+    record = json.loads(path.read_text())["record"]
+    return [tuple(edge) for edge in record["temporal_edges"]]
+
+
+class TestEndpointWindows:
+    """``approx_log10_pc`` reads only the edges' endpoint windows."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [factory for _, factory in GOLDEN_FACTORIES],
+        ids=[name for name, _ in GOLDEN_FACTORIES],
+    )
+    def test_equals_whole_map_on_hyper(self, factory):
+        design = factory()
+        rng = random.Random(design.name)
+        ops = sorted(design.schedulable_operations)
+        edges = _golden_edges(design.name) + [
+            tuple(rng.sample(ops, 2)) for _ in range(24)
+        ]
+        cp = critical_path_length(design)
+        for horizon in (cp, cp + 3):
+            windows = scheduling_windows(design, horizon)
+            for model in ("poisson", "uniform"):
+                whole_map = sum(
+                    approx_edge_log10(windows, src, dst, model=model)
+                    for src, dst in edges
+                )
+                assert approx_log10_pc(
+                    design, edges, horizon=horizon, model=model
+                ) == whole_map
+
+    @pytest.mark.parametrize(
+        "edge", [("ghost", "C3"), ("C6", "ghost")], ids=["src", "dst"]
+    )
+    def test_unknown_endpoint_raises(self, iir4, edge):
+        with pytest.raises(WatermarkError, match="outside the window map"):
+            approx_log10_pc(iir4, [("C6", "C3"), edge])
+
+    def test_short_horizon_raises_before_endpoints(self, iir4):
+        cp = critical_path_length(iir4)
+        with pytest.raises(InfeasibleScheduleError):
+            approx_log10_pc(iir4, [("ghost", "C3")], horizon=cp - 1)
 
 
 class TestHelpers:

@@ -104,6 +104,19 @@ class TestViewCache:
         assert g.latency("n0") == 1
         assert g.view().latency[0] == 1
 
+    def test_critical_path_follows_a_patched_temporal_edge(self):
+        g = chain(1, 1)
+        g.add_operation("x", OpType.ADD)
+        inc = IncrementalWindows(g, horizon=3)
+        view = g.view()
+        assert view.critical_path_length() == 2  # memoized from here on
+        inc.add_edge("n1", "x", EdgeKind.TEMPORAL)
+        # The view was patched in place (apply_edge), not rebuilt, and
+        # the memoized critical path went with the ASAP array.
+        assert g.view() is view
+        assert view.critical_path_length() == 3
+        assert critical_path_length(g) == 3
+
     def test_pickle_drops_cached_view(self, iir4):
         iir4.view()
         clone = pickle.loads(pickle.dumps(iir4))

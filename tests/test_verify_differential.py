@@ -82,6 +82,7 @@ class TestOraclesClean:
             "periodic_windows",
             "kernel_vectorized",
             "locality",
+            "binding",
             "rtl_roundtrip",
             "coincidence_mc",
             "attack_service",
