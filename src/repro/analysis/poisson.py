@@ -10,12 +10,45 @@ ALAP bound.
 window of a given width; :func:`order_probability` integrates the joint
 probability that one operation starts strictly before another under
 independent placement — the per-edge factor of the approximate ``P_c``.
+
+Past its first ~180 steps (at λ = 1) the Poisson weight underflows to
+exactly ``0.0``, and every later weight with it, so the recurrence stops
+there and :func:`order_probability` sums over the *support* — the steps
+whose probability is nonzero — whatever the window width.
+:mod:`repro.verify.poisson` keeps the full-width formulation as the
+reference both are checked against bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from bisect import bisect_right
+from typing import List, Sequence, Tuple
+
+
+def _poisson_prefix(width: int, lam: float) -> List[float]:
+    """:func:`truncated_poisson_pmf` up to its first zero weight.
+
+    Every weight after one that underflows to ``0.0`` is ``0.0`` too,
+    and adding zeros leaves ``sum`` unchanged (compensated or not), so
+    the normalizing total — and every entry — equals the full-width one.
+    """
+    if width < 1:
+        raise ValueError("width must be >= 1")
+    if not math.isfinite(lam):
+        raise ValueError("lam must be finite")
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    # Iterative recurrence (w_k = w_{k-1}·λ/k) — factorials overflow for
+    # the window widths large designs produce.
+    weights = [1.0]
+    for k in range(1, width):
+        weight = weights[-1] * lam / k
+        if weight == 0.0:
+            break
+        weights.append(weight)
+    total = sum(weights)
+    return [w / total for w in weights]
 
 
 def truncated_poisson_pmf(width: int, lam: float) -> List[float]:
@@ -26,19 +59,12 @@ def truncated_poisson_pmf(width: int, lam: float) -> List[float]:
     width:
         Window width (number of feasible start steps); must be >= 1.
     lam:
-        Poisson rate; small λ concentrates mass on early steps.
+        Poisson rate, finite and positive; small λ concentrates mass on
+        early steps.
     """
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    # Iterative recurrence (w_k = w_{k-1}·λ/k) — factorials overflow for
-    # the window widths large designs produce.
-    weights = [1.0]
-    for k in range(1, width):
-        weights.append(weights[-1] * lam / k)
-    total = sum(weights)
-    return [w / total for w in weights]
+    pmf = _poisson_prefix(width, lam)
+    pmf.extend([0.0] * (width - len(pmf)))
+    return pmf
 
 
 def uniform_pmf(width: int) -> List[float]:
@@ -57,6 +83,21 @@ def window_pmf(width: int, model: str = "poisson", lam: float = 1.0) -> List[flo
     raise ValueError(f"unknown placement model: {model!r}")
 
 
+def _support(
+    window: Sequence[int], model: str, lam: float
+) -> Tuple[List[int], List[float]]:
+    """Steps of *window* with nonzero placement probability, and those
+    probabilities, in step order."""
+    lo, hi = window
+    width = hi - lo + 1
+    if model == "poisson":
+        pmf = _poisson_prefix(width, lam)
+    else:
+        pmf = window_pmf(width, model=model, lam=lam)
+    steps = [lo + i for i, p in enumerate(pmf) if p != 0.0]
+    return steps, [p for p in pmf if p != 0.0]
+
+
 def order_probability(
     window_a: Sequence[int],
     window_b: Sequence[int],
@@ -64,6 +105,12 @@ def order_probability(
     lam: float = 1.0,
 ) -> float:
     """P(start_a < start_b) under independent window placement.
+
+    Sums ``pmf_a[ta] * pmf_b[tb]`` over ``ta < tb`` row by row, visiting
+    only the supports: a skipped term is either an exact ``0.0``
+    product or fails ``ta < tb``, and the rest are added in step order,
+    so the result is float-identical to the full double loop at
+    O(support_a · support_b) instead of O(width_a · width_b).
 
     Parameters
     ----------
@@ -76,18 +123,13 @@ def order_probability(
         Probability in [0, 1]; 0.0 when the windows make the order
         impossible, 1.0 when the precedence already always holds.
     """
-    lo_a, hi_a = window_a
-    lo_b, hi_b = window_b
-    if hi_a < lo_a or hi_b < lo_b:
+    if window_a[1] < window_a[0] or window_b[1] < window_b[0]:
         raise ValueError("malformed window")
-    pmf_a = window_pmf(hi_a - lo_a + 1, model=model, lam=lam)
-    pmf_b = window_pmf(hi_b - lo_b + 1, model=model, lam=lam)
+    steps_a, probs_a = _support(window_a, model, lam)
+    steps_b, probs_b = _support(window_b, model, lam)
     probability = 0.0
-    for ia, pa in enumerate(pmf_a):
-        ta = lo_a + ia
-        for ib, pb in enumerate(pmf_b):
-            tb = lo_b + ib
-            if ta < tb:
-                probability += pa * pb
+    for ta, pa in zip(steps_a, probs_a):
+        for pb in probs_b[bisect_right(steps_b, ta):]:
+            probability += pa * pb
     # Guard against floating-point accumulation drifting past the bounds.
     return min(1.0, max(0.0, probability))

@@ -29,7 +29,10 @@ whenever they disagree:
   windows (algebraic ``- ii*distance`` folding, a few sweeps) against
   the unrolled reference (one materialized graph copy per unit of
   total back-edge distance), bit-identical at several IIs per cyclic
-  design, with matching infeasibility verdicts below the minimum II.
+  design, with matching infeasibility verdicts below the minimum II;
+  on designs of at most :data:`CYCLE_LEG_MAX_NODES` nodes the kernel's
+  minimum II must also equal the maximum of ``ceil(L/D)`` over simple
+  cycles (:mod:`repro.verify.cycles`).
 * :func:`oracle_locality` — the locality index's fanin cones,
   candidate roots, structural hashes and canonical orderings against
   per-node networkx walks (:mod:`repro.verify.locality`) on acyclic,
@@ -39,6 +42,10 @@ whenever they disagree:
   track-by-track left edge and pairwise register check
   (:mod:`repro.verify.binding`): identical bindings on a list-scheduled
   random design, and identical verdicts on planted reassignments.
+* :func:`oracle_order_probability` — the support-only order
+  probability against the full-width pmf and double loop
+  (:mod:`repro.verify.poisson`), by float ``==`` on random disjoint,
+  overlapping and nested window pairs under both placement models.
 * :func:`oracle_rtl_roundtrip` — Verilog emission against extraction:
   emit a scheduled+bound (possibly marked) design, parse the text back,
   and demand bit-identical controller tables, bindings, schedules,
@@ -57,6 +64,7 @@ from typing import List, Optional, Tuple
 
 import networkx as nx
 
+from repro.analysis.poisson import order_probability
 from repro.cdfg.generators import random_cyclic_cdfg, random_layered_cdfg
 from repro.cdfg.graph import CDFG
 from repro.cdfg.ops import ResourceClass
@@ -94,8 +102,11 @@ from repro.timing.windows import (
     periodic_scheduling_windows,
     scheduling_windows,
 )
+from repro.util.perf import PERF
 from repro.verify import binding as binding_ref
+from repro.verify import cycles as cycles_ref
 from repro.verify import locality as locality_ref
+from repro.verify import poisson as poisson_ref
 from repro.verify.report import Divergence
 
 #: Author every verification embed uses; constraints are keyed, so a
@@ -462,13 +473,21 @@ def oracle_windows_kernel(base_seed: int, trial: int) -> List[Divergence]:
 # ----------------------------------------------------------------------
 # periodic windows: modulo kernel vs unrolled reference
 # ----------------------------------------------------------------------
+#: Largest design (in nodes) whose simple cycles the periodic oracle
+#: enumerates; the cycle count grows exponentially with size.
+CYCLE_LEG_MAX_NODES = 40
+
+
 def periodic_windows_trial(seed: int) -> List[Divergence]:
     """Modulo steady-state windows against honest iteration unrolling.
 
     One random cyclic design per trial; at the minimum II and two
     looser ones the kernel's O(nodes · sweeps) fixpoint must match the
     O(nodes · Σdistance) unrolled recompute node-for-node, and one II
-    below the minimum both sides must refuse.
+    below the minimum both sides must refuse.  On designs of at most
+    :data:`CYCLE_LEG_MAX_NODES` nodes the minimum II must also equal
+    the simple-cycle bound; each such check counts one
+    ``verify.periodic_windows.cycle_legs``.
     """
     rng = random.Random(seed)
     design = random_cyclic_cdfg(
@@ -490,6 +509,17 @@ def periodic_windows_trial(seed: int) -> List[Divergence]:
                 data=data,
             )
         )
+
+    if len(design.operations) <= CYCLE_LEG_MAX_NODES:
+        PERF.add("verify.periodic_windows.cycle_legs")
+        cycle_mii = cycles_ref.reference_cycle_min_ii(design)
+        if cycle_mii != mii:
+            report(
+                f"kernel min II {mii} differs from the simple-cycle "
+                f"bound max ceil(L/D) = {cycle_mii}",
+                ii=mii,
+                cycle_ii=cycle_mii,
+            )
 
     for ii in (mii, mii + 1, mii + rng.randint(2, 5)):
         horizon = periodic_critical_path_length(design, ii) + rng.randint(0, 3)
@@ -970,6 +1000,92 @@ def kernel_vectorized_trial(seed: int) -> List[Divergence]:
 def oracle_kernel_vectorized(base_seed: int, trial: int) -> List[Divergence]:
     """Vectorized-vs-reference kernel oracle, one trial."""
     return kernel_vectorized_trial(derive_seed(base_seed, trial, "veckernel"))
+
+
+# ----------------------------------------------------------------------
+# order probability: support-only sum vs full-width double loop
+# ----------------------------------------------------------------------
+#: Poisson rates an order-probability pair draws from.
+ORDER_PROBABILITY_LAMBDAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 30.0)
+
+#: Widest window per placement model.  The reference loop costs
+#: O(w_a·w_b); the Poisson support stops growing long before 3,000
+#: steps, but the uniform model keeps every step in production too.
+ORDER_PROBABILITY_MAX_WIDTH = {"poisson": 3000, "uniform": 150}
+
+#: How the two windows of a pair sit relative to each other.
+ORDER_PROBABILITY_LAYOUTS = ("disjoint", "overlapping", "nested")
+
+
+def _window_pair(
+    rng: random.Random, layout: str, max_width: int
+) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """Two windows in *layout*, widths log-uniform in ``1..max_width``."""
+    width_a, width_b = (round(max_width ** rng.random()) for _ in range(2))
+    lo_a = rng.randint(0, 64)
+    if layout == "disjoint":
+        gap = rng.randint(0, 8)
+        lo_b = (
+            lo_a + width_a + gap
+            if rng.random() < 0.5
+            else lo_a - width_b - gap
+        )
+    elif layout == "overlapping":
+        lo_b = lo_a + rng.randint(1 - width_b, width_a - 1)
+    elif width_a >= width_b:
+        lo_b = lo_a + rng.randint(0, width_a - width_b)
+    else:
+        lo_b = lo_a - rng.randint(0, width_b - width_a)
+    return (lo_a, lo_a + width_a - 1), (lo_b, lo_b + width_b - 1)
+
+
+def order_probability_trial(seed: int) -> List[Divergence]:
+    """Production order probability against the reference, by ``==``.
+
+    One window pair per layout, each under a random placement model
+    and Poisson rate.  Any difference fails, a one-ULP drift included:
+    the goldens pin ``log10_pc``, and production claims to add the same
+    nonzero terms in the same order as the full double loop.
+    """
+    rng = random.Random(seed)
+    divergences: List[Divergence] = []
+    for layout in ORDER_PROBABILITY_LAYOUTS:
+        model = rng.choice(("poisson", "poisson", "poisson", "uniform"))
+        lam = rng.choice(ORDER_PROBABILITY_LAMBDAS)
+        window_a, window_b = _window_pair(
+            rng, layout, ORDER_PROBABILITY_MAX_WIDTH[model]
+        )
+        production = order_probability(window_a, window_b, model, lam)
+        reference = poisson_ref.reference_order_probability(
+            window_a, window_b, model, lam
+        )
+        if production != reference:
+            divergences.append(
+                Divergence(
+                    oracle="order_probability",
+                    design=f"{layout}:{model}",
+                    seed=seed,
+                    detail=(
+                        f"order probability of {window_a} before {window_b} "
+                        f"({model}, lam={lam}): production "
+                        f"{production.hex()}, reference {reference.hex()}"
+                    ),
+                    data={
+                        "window_a": list(window_a),
+                        "window_b": list(window_b),
+                        "model": model,
+                        "lam": lam,
+                        "production": production,
+                        "reference": reference,
+                    },
+                )
+            )
+    return divergences
+
+
+def oracle_order_probability(base_seed: int, trial: int) -> List[Divergence]:
+    """Order-probability oracle, one trial."""
+    return order_probability_trial(derive_seed(base_seed, trial, "order"))
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ Three suites, each a set of named oracles:
   embedding, incremental-vs-full windows, vectorized-vs-worklist
   timing sweeps, locality-index-vs-networkx-walk locality queries,
   heap-vs-scan datapath binding and sweep-vs-pairwise binding checks,
+  support-only vs full-width order probabilities,
   Verilog emit-vs-extract round trips,
   exact-vs-Monte-Carlo ``P_c``, and the serving engine's ``attack``
   job vs the arena library path (:mod:`repro.verify.differential`);
@@ -22,7 +23,10 @@ Wall-clock control reuses :class:`repro.resilience.budget.Budget`:
 the deadline is checked between trials, so exhaustion surfaces as
 :class:`~repro.errors.BudgetExceededError` (CLI exit code 3) with the
 partial report intact.  Per-oracle wall time lands in
-:data:`repro.util.perf.PERF` under ``verify.<oracle>`` phases.
+:data:`repro.util.perf.PERF` under ``verify.<oracle>`` phases, and a
+``verify.<oracle>.<metric>`` counter an oracle bumps while it runs is
+reported as that oracle's ``<metric>`` (e.g. how many designs a leg
+that only fits small designs checked).
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ DIFFERENTIAL_ORACLES: Dict[str, TrialFn] = {
     "kernel_vectorized": differential.oracle_kernel_vectorized,
     "locality": differential.oracle_locality,
     "binding": differential.oracle_binding,
+    "order_probability": differential.oracle_order_probability,
     "rtl_roundtrip": differential.oracle_rtl_roundtrip,
 }
 
@@ -92,6 +97,7 @@ def _run_oracle(
 ) -> OracleOutcome:
     """Run one oracle for *trials* trials under the shared budget."""
     outcome = OracleOutcome(name=name)
+    baseline = PERF.snapshot()
     started = time.perf_counter()
     with PERF.phase(f"verify.{name}"):
         for trial in range(trials):
@@ -111,6 +117,10 @@ def _run_oracle(
             outcome.trials += 1
             outcome.divergences.extend(divergences)
     outcome.wall_ms = (time.perf_counter() - started) * 1000.0
+    prefix = f"verify.{name}."
+    for counter, moved in PERF.delta(baseline)["counters"].items():
+        if counter.startswith(prefix):
+            outcome.metrics[counter[len(prefix):]] = moved
     return outcome
 
 

@@ -26,6 +26,8 @@ from repro.timing.windows import (
     periodic_critical_path_length,
     periodic_scheduling_windows,
 )
+from repro.util.perf import PERF
+from repro.verify import cycles as cycles_ref
 from repro.verify import differential
 from repro.verify.differential import periodic_windows_trial
 
@@ -133,11 +135,60 @@ class TestCycleCheck:
             g.add_control_edge("c", "x")
 
 
+class TestCycleLeg:
+    """Third min-II leg: max ceil(L/D) over enumerated simple cycles."""
+
+    @pytest.mark.parametrize("seed", [33, 210, 286, 424, 2312])
+    def test_staircase_seeds(self, seed):
+        design = random_cyclic_cdfg(20 + seed % 12, seed=seed)
+        assert cycles_ref.reference_cycle_min_ii(design) == 2
+        assert design.view().min_ii() == 2
+
+    def test_suite_designs(self):
+        for spec in PERIODIC_SUITE:
+            design = spec.factory()
+            assert cycles_ref.reference_cycle_min_ii(
+                design
+            ) == design.view().min_ii(), design.name
+
+    def test_acyclic_and_self_loop(self):
+        g = TestCycleCheck()._chain()
+        assert cycles_ref.reference_cycle_min_ii(g) == 1
+        g.add_data_edge("a", "a", distance=1)
+        assert list(cycles_ref.cycle_totals(g)) == [(g.latency("a"), 1)]
+        assert cycles_ref.reference_cycle_min_ii(g) == g.latency("a")
+
+    def test_oracle_runs_the_leg_on_small_designs(self):
+        before = PERF.get("verify.periodic_windows.cycle_legs")
+        for trial in range(10):
+            differential.oracle_periodic_windows(7, trial)
+        assert PERF.get("verify.periodic_windows.cycle_legs") > before
+
+
 class TestOracle:
     def test_trials_clean(self):
         for trial in range(10):
             seed = differential.derive_seed(7, trial, "periodic")
             assert periodic_windows_trial(seed) == []
+
+    def test_teeth_reference_floors_cycle_ratio(self, monkeypatch):
+        # A reference-side bug: floor(L/D) accepts an II below the
+        # staircase recurrence's true bound.
+        def floor_min_ii(cdfg):
+            return max(
+                [1, *(lat // dist for lat, dist in cycles_ref.cycle_totals(cdfg))]
+            )
+
+        monkeypatch.setattr(
+            cycles_ref, "reference_cycle_min_ii", floor_min_ii
+        )
+        divergences = [
+            d
+            for trial in range(20)
+            for d in differential.oracle_periodic_windows(7, trial)
+        ]
+        assert divergences, "a floored cycle bound went unnoticed"
+        assert all("simple-cycle bound" in d.detail for d in divergences)
 
     def test_teeth_off_by_one_distance(self, monkeypatch):
         # Plant an off-by-one into the kernel side of the oracle only:

@@ -83,6 +83,7 @@ class TestOraclesClean:
             "kernel_vectorized",
             "locality",
             "binding",
+            "order_probability",
             "rtl_roundtrip",
             "coincidence_mc",
             "attack_service",
